@@ -46,7 +46,6 @@ func run(args []string) error {
 		jsonPath   = fs.String("json", "", "write machine-readable per-figure results (engine, total-ms, first-ms, DomComparisons) to this file")
 		workers    = fs.Int("workers", 0, "additionally run each ProgXe engine with this many parallel workers (adds \"(w=N)\" variants)")
 		committers = fs.Int("committers", 0, "additionally run each ProgXe engine with -workers workers and this many partitioned committers (adds \"(w=N c=M)\" variants; needs -workers)")
-		speculate  = fs.Int("speculate", 0, "additionally run each ProgXe engine with -workers/-committers and this speculation depth (adds \"(w=N c=M s=K)\" variants; needs -workers and -committers)")
 		baseline   = fs.String("baseline", "", "compare results against a committed BENCH_*.json and fail on ProgXe total-time regressions")
 		maxRegress = fs.Float64("max-regress", 0.2, "regression tolerance for -baseline (0.2 = fail beyond +20%)")
 		repeat     = fs.Int("repeat", 1, "run each cell this many times and keep the fastest (use ≥3 when gating with -baseline)")
@@ -58,9 +57,6 @@ func run(args []string) error {
 	}
 	if *committers > 0 && *workers <= 0 {
 		return fmt.Errorf("-committers needs -workers (the commit stage only partitions on parallel runs)")
-	}
-	if *speculate > 0 && (*workers < 2 || *committers <= 0) {
-		return fmt.Errorf("-speculate needs -workers >= 2 and -committers (rounds only pipeline on partitioned-commit runs with a spare precheck lane)")
 	}
 
 	if *list {
@@ -93,9 +89,6 @@ func run(args []string) error {
 			f.Engines = bench.AddWorkerVariants(f.Engines, *workers)
 			if *committers > 0 {
 				f.Engines = bench.AddCommitterVariants(f.Engines, *workers, *committers)
-				if *speculate > 0 {
-					f.Engines = bench.AddSpeculateVariants(f.Engines, *workers, *committers, *speculate)
-				}
 			}
 		}
 		runs := bench.RunFigure(f, os.Stdout, *series, *repeat)

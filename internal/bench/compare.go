@@ -64,7 +64,6 @@ type runKey struct {
 	sigma      float64
 	workers    int
 	committers int
-	speculate  int
 }
 
 // cellKey identifies a workload cell (for control lookup) ignoring engine.
@@ -84,7 +83,7 @@ func indexRuns(r *JSONReport) (byRun map[runKey]JSONRun, control map[cellKey]flo
 			if run.Error != "" {
 				continue
 			}
-			k := runKey{f.Figure, run.Engine, run.N, run.Dims, run.Dist, run.Sigma, run.Workers, run.Committers, run.Speculate}
+			k := runKey{f.Figure, run.Engine, run.N, run.Dims, run.Dist, run.Sigma, run.Workers, run.Committers}
 			if _, dup := byRun[k]; !dup {
 				byRun[k] = run
 			}
@@ -111,7 +110,7 @@ func CompareReports(baseline, current *JSONReport, maxRegress float64) []Verdict
 			if !strings.HasPrefix(run.Engine, "ProgXe") || run.Error != "" || run.TotalMS <= 0 {
 				continue
 			}
-			k := runKey{f.Figure, run.Engine, run.N, run.Dims, run.Dist, run.Sigma, run.Workers, run.Committers, run.Speculate}
+			k := runKey{f.Figure, run.Engine, run.N, run.Dims, run.Dist, run.Sigma, run.Workers, run.Committers}
 			base, ok := baseRuns[k]
 			if !ok || base.TotalMS <= 0 {
 				continue
@@ -147,15 +146,11 @@ func CompareReports(baseline, current *JSONReport, maxRegress float64) []Verdict
 }
 
 // cellLabel renders a run's workload cell, including the committer count
-// only when the run used partitioned commit and the speculation depth only
-// when the run pipelined rounds.
+// only when the run used partitioned commit.
 func cellLabel(run JSONRun) string {
 	label := fmt.Sprintf("%s d=%d n=%d σ=%g w=%d", run.Dist, run.Dims, run.N, run.Sigma, run.Workers)
 	if run.Committers > 0 {
 		label += fmt.Sprintf(" c=%d", run.Committers)
-	}
-	if run.Speculate > 0 {
-		label += fmt.Sprintf(" s=%d", run.Speculate)
 	}
 	return label
 }

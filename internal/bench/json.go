@@ -24,13 +24,9 @@ type JSONRun struct {
 	// Committers is the partitioned-commit fan-out the run used (0 = commit
 	// on the sequencer); like Workers it is part of the run's identity for
 	// trajectory comparisons.
-	Committers int `json:"committers,omitempty"`
-	// Speculate is the cross-round speculation depth the run used (0 =
-	// every round drains before its phase-1 precheck); part of the run's
-	// identity like Workers and Committers.
-	Speculate int     `json:"speculate,omitempty"`
-	TotalMS   float64 `json:"total_ms"`
-	FirstMS   float64 `json:"first_ms"`
+	Committers int     `json:"committers,omitempty"`
+	TotalMS    float64 `json:"total_ms"`
+	FirstMS    float64 `json:"first_ms"`
 	// TT50MS/TT90MS are the progressiveness milestones: the time by which
 	// 50% / 90% of the final result set had been emitted.
 	TT50MS float64 `json:"tt50_ms,omitempty"`
@@ -43,19 +39,11 @@ type JSONRun struct {
 	CommitterMS      float64 `json:"committer_ms,omitempty"`
 	SerialCommitFrac float64 `json:"serial_commit_frac,omitempty"`
 	// CommitWaitMS is the sequencer time spent blocked on the committer
-	// drain barrier — the stall speculative pipelining targets.
-	CommitWaitMS float64 `json:"commit_wait_ms,omitempty"`
-	// Speculation counters: rounds whose phase-1 scan was launched against
-	// a stale snapshot, rounds whose stale verdicts were consumed (the
-	// drain those rounds skipped), the delta re-checks revalidation paid,
-	// and the stale-verdict hit rate (SpecHits / SpecRounds).
-	SpecRounds      int     `json:"spec_rounds,omitempty"`
-	SpecHits        int     `json:"spec_hits,omitempty"`
-	SpecRevalChecks int     `json:"spec_reval_checks,omitempty"`
-	SpecHitRate     float64 `json:"spec_hit_rate,omitempty"`
-	Results         int     `json:"results"`
-	DomComparisons  int     `json:"dom_comparisons"`
-	JoinResults     int     `json:"join_results"`
+	// drain barrier that opens every partitioned-commit round.
+	CommitWaitMS   float64 `json:"commit_wait_ms,omitempty"`
+	Results        int     `json:"results"`
+	DomComparisons int     `json:"dom_comparisons"`
+	JoinResults    int     `json:"join_results"`
 	// Regions records the run's output-region count (live + pruned), the
 	// scheduling load of the cell — trajectory comparisons can normalize
 	// by it when workloads are re-scaled.
@@ -105,7 +93,6 @@ func (r *JSONReport) AddFigure(f Figure, runs []RunResult) {
 			Sigma:          run.Workload.Sigma,
 			Workers:        run.Workers,
 			Committers:     run.Committers,
-			Speculate:      run.Speculate,
 			TotalMS:        float64(run.Total) / float64(time.Millisecond),
 			FirstMS:        float64(run.First) / float64(time.Millisecond),
 			Results:        run.Results,
@@ -128,12 +115,6 @@ func (r *JSONReport) AddFigure(f Figure, runs []RunResult) {
 			if ph.Phase == "commit-wait" {
 				jr.CommitWaitMS = ph.SequencerMillis
 			}
-		}
-		jr.SpecRounds = run.Stats.SpecRounds
-		jr.SpecHits = run.Stats.SpecHits
-		jr.SpecRevalChecks = run.Stats.SpecRevalChecks
-		if run.Stats.SpecRounds > 0 {
-			jr.SpecHitRate = float64(run.Stats.SpecHits) / float64(run.Stats.SpecRounds)
 		}
 		if run.Err != nil {
 			jr.Error = run.Err.Error()

@@ -9,16 +9,14 @@ import (
 )
 
 // WriteSummary renders a markdown digest of a JSON report: the run
-// environment and, when the report carries "(w=N)", "(w=N c=M)" and
-// "(w=N c=M s=K)" variants alongside their serial runs, the measured
-// multicore speedup per cell — the tables the CI multicore job publishes
-// into its step summary. Cells are matched by figure, workload, and base
-// engine name, with the variant dimension (workers, committers, speculation
-// depth) parsed back off the engine name; the serial run is the denominator
-// of the speedup table, the plain-parallel run the denominator of the
-// commit-parallel table, and the commit-parallel run the denominator of the
-// pipelined-rounds table, so a value above 1.00× is a win for the
-// respective stage.
+// environment and, when the report carries "(w=N)" and "(w=N c=M)" variants
+// alongside their serial runs, the measured multicore speedup per cell — the
+// tables the CI multicore job publishes into its step summary. Cells are
+// matched by figure, workload, and base engine name, with the variant
+// dimension (workers, committers) parsed back off the engine name; the
+// serial run is the denominator of the speedup table, and the plain-parallel
+// run is the denominator of the commit-parallel table, so a value above
+// 1.00× is a win for the respective stage.
 func WriteSummary(w io.Writer, r *JSONReport) {
 	scale, procs := r.Scale, r.GoMaxProcs
 	if scale == 0 {
@@ -29,20 +27,17 @@ func WriteSummary(w io.Writer, r *JSONReport) {
 	}
 	fmt.Fprintf(w, "## progxe-bench results (scale %.2g, GOMAXPROCS %d)\n\n", scale, procs)
 
-	// One arm of a cell: the measured quantities of a serial, parallel,
-	// commit-parallel, or pipelined (speculative) run.
+	// One arm of a cell: the measured quantities of a serial, parallel, or
+	// commit-parallel run.
 	type arm struct {
-		ms, tt50, tt90         float64
-		seqMS, workerMS        float64
-		committerMS, commitFrc float64
-		commitWaitMS           float64
-		specHitRate            float64
-		workers, committers    int
-		speculate, valid       int
+		ms, tt50, tt90             float64
+		seqMS, workerMS            float64
+		committerMS, commitFrc     float64
+		workers, committers, valid int
 	}
 	type cell struct {
-		figure, engine, workload       string
-		serial, parallel, commit, spec arm
+		figure, engine, workload string
+		serial, parallel, commit arm
 	}
 	byKey := map[string]*cell{}
 	var order []string
@@ -52,16 +47,11 @@ func WriteSummary(w io.Writer, r *JSONReport) {
 				continue
 			}
 			// Strip the variant suffix the derived specs append; the
-			// committer and speculation dimensions distinguish the
-			// commit-parallel and pipelined arms from the plain-parallel one.
+			// committer dimension distinguishes the commit-parallel arm from
+			// the plain-parallel one.
 			var base string
-			var isParallel, isCommit, isSpec bool
+			var isParallel, isCommit bool
 			switch {
-			case run.Speculate > 0:
-				base, isSpec = strings.CutSuffix(run.Engine, fmt.Sprintf(" (w=%d c=%d s=%d)", run.Workers, run.Committers, run.Speculate))
-				if !isSpec {
-					continue // a speculate variant under an unexpected name
-				}
 			case run.Committers > 0:
 				base, isCommit = strings.CutSuffix(run.Engine, fmt.Sprintf(" (w=%d c=%d)", run.Workers, run.Committers))
 				if !isCommit {
@@ -84,9 +74,7 @@ func WriteSummary(w io.Writer, r *JSONReport) {
 				order = append(order, key)
 			}
 			a := &c.serial
-			if isSpec {
-				a = &c.spec
-			} else if isCommit {
+			if isCommit {
 				a = &c.commit
 			} else if isParallel {
 				a = &c.parallel
@@ -94,9 +82,7 @@ func WriteSummary(w io.Writer, r *JSONReport) {
 			a.ms, a.tt50, a.tt90 = run.TotalMS, run.TT50MS, run.TT90MS
 			a.seqMS, a.workerMS = run.SeqMS, run.WorkerMS
 			a.committerMS, a.commitFrc = run.CommitterMS, run.SerialCommitFrac
-			a.commitWaitMS, a.specHitRate = run.CommitWaitMS, run.SpecHitRate
-			a.workers, a.committers = run.Workers, run.Committers
-			a.speculate, a.valid = run.Speculate, 1
+			a.workers, a.committers, a.valid = run.Workers, run.Committers, 1
 		}
 	}
 
@@ -190,43 +176,4 @@ func WriteSummary(w io.Writer, r *JSONReport) {
 	sort.Float64s(shares)
 	fmt.Fprintf(w, "\ncommit-parallel vs parallel: median %.2f×; serial commit share after partitioning: median %.1f%% over %d cells\n",
 		gains[len(gains)/2], 100*shares[len(shares)/2], len(com))
-
-	// Pipelined rounds: the (w=N c=M s=K) arm against the (w=N c=M) arm of
-	// the same cell — how much total time and drain-barrier stall
-	// (commit-wait) speculative cross-round pipelining removes, and how
-	// often the stale verdicts actually got used.
-	var pip []*cell
-	depth := 0
-	for _, key := range order {
-		c := byKey[key]
-		if c.commit.valid == 1 && c.spec.valid == 1 {
-			pip = append(pip, c)
-			depth = c.spec.speculate
-		}
-	}
-	if len(pip) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\n### Pipelined rounds (w=%d c=%d s=%d vs s=0)\n\n", pip[0].spec.workers, pip[0].spec.committers, depth)
-	fmt.Fprintln(w, "| Figure | Engine | Workload | commit ms | pipelined ms | speedup | commit-wait ms (off→on) | spec hit rate |")
-	fmt.Fprintln(w, "|---|---|---|---:|---:|---:|---:|---:|")
-	pgains := make([]float64, 0, len(pip))
-	waits := make([]float64, 0, len(pip))
-	for _, c := range pip {
-		s := c.commit.ms / c.spec.ms
-		pgains = append(pgains, s)
-		if c.commit.commitWaitMS > 0 {
-			waits = append(waits, 1-c.spec.commitWaitMS/c.commit.commitWaitMS)
-		}
-		fmt.Fprintf(w, "| %s | %s | %s | %.1f | %.1f | %.2f× | %.1f→%.1f | %.0f%% |\n",
-			c.figure, c.engine, c.workload, c.commit.ms, c.spec.ms, s,
-			c.commit.commitWaitMS, c.spec.commitWaitMS, c.spec.specHitRate*100)
-	}
-	sort.Float64s(pgains)
-	fmt.Fprintf(w, "\npipelined vs commit-parallel: median %.2f×", pgains[len(pgains)/2])
-	if len(waits) > 0 {
-		sort.Float64s(waits)
-		fmt.Fprintf(w, "; commit-wait stall cut: median %.0f%%", 100*waits[len(waits)/2])
-	}
-	fmt.Fprintf(w, " over %d cells\n", len(pip))
 }

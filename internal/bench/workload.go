@@ -69,7 +69,6 @@ type EngineSpec struct {
 	New        func() smj.Engine
 	Workers    int
 	Committers int
-	Speculate  int
 	opts       *core.Options // nil for baselines without a parallel path
 }
 
@@ -81,7 +80,6 @@ func progxeSpec(name string, opts core.Options) EngineSpec {
 		New:        func() smj.Engine { return core.New(o) },
 		Workers:    o.Workers,
 		Committers: o.Committers,
-		Speculate:  o.SpeculateRounds,
 		opts:       &o,
 	}
 }
@@ -134,38 +132,6 @@ func AddCommitterVariants(specs []EngineSpec, w, c int) []EngineSpec {
 			continue
 		}
 		if v, ok := s.WithCommitters(w, c); ok {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// WithSpeculate derives a speculative-pipelining variant of a ProgXe-family
-// spec running with w workers, c committers and speculation depth n,
-// reporting false for engines without a parallel path (speculation only
-// takes effect on partitioned-commit runs with a spare precheck lane, so
-// w must be ≥ 2 and the other counts positive).
-func (s EngineSpec) WithSpeculate(w, c, n int) (EngineSpec, bool) {
-	if s.opts == nil || w < 2 || c <= 0 || n <= 0 {
-		return s, false
-	}
-	o := *s.opts
-	o.Workers, o.Committers, o.SpeculateRounds = w, c, n
-	return progxeSpec(fmt.Sprintf("%s (w=%d c=%d s=%d)", s.Name, w, c, n), o), true
-}
-
-// AddSpeculateVariants appends a (w=w c=c s=n) variant for every serial
-// ProgXe-family spec in the list. Like AddCommitterVariants it skips already
-// derived variants, so applied after the other two every base engine gains
-// exactly one speculative arm and summaries can pair the partitioned-commit
-// and pipelined runs of the same engine.
-func AddSpeculateVariants(specs []EngineSpec, w, c, n int) []EngineSpec {
-	out := append([]EngineSpec(nil), specs...)
-	for _, s := range specs {
-		if s.Workers != 0 || s.Committers != 0 || s.Speculate != 0 {
-			continue
-		}
-		if v, ok := s.WithSpeculate(w, c, n); ok {
 			out = append(out, v)
 		}
 	}

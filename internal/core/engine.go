@@ -141,22 +141,6 @@ type Options struct {
 	// result stream. A smj.WithCommitters request on the RunContext context
 	// overrides this per run.
 	Committers int
-	// SpeculateRounds enables speculative cross-round pipelining on top of
-	// the partitioned commit stage: up to n upcoming rounds may run their
-	// phase-1 dominance scans against a stale append-only survivor view
-	// while the current round's committer logs drain; stale rejections are
-	// final by dominance transitivity, stale survivors are revalidated
-	// against only the per-round survivor deltas, and rounds whose stale
-	// verdicts get used skip the drain barrier entirely. 0 (the default)
-	// disables speculation; negative picks the default depth of 2; values
-	// are clamped to 8. Ignored unless Workers resolves to ≥ 2 (scans share
-	// the precheck lanes, so a spare lane must exist for the overlap to
-	// ever pay off) and Committers to ≥ 1. Like Workers, any value yields
-	// a byte-identical result
-	// stream (the scheduling-dependent SpecRounds/SpecHits/SpecRevalChecks
-	// counters excepted, like DomComparisons). A smj.WithSpeculate request
-	// on the RunContext context overrides this per run.
-	SpeculateRounds int
 	// Trace, when non-nil, receives an Event for every region selection,
 	// region completion, region discard, and cell emission. Intended for
 	// debugging, demos and tests; adds no cost when nil.
@@ -256,17 +240,17 @@ var _ smj.ContextEngine = (*Engine)(nil)
 func (e *Engine) RunContext(ctx context.Context, p *smj.Problem, sink smj.Sink) (smj.Stats, error) {
 	var stats smj.Stats
 	cancel := smj.NewCanceler(ctx)
-	workers, committers, speculate := e.resolveParallelism(ctx)
+	workers, committers := e.resolveParallelism(ctx)
 	pl, err := e.prepare(cancel, p, workers, &stats)
 	if err != nil {
 		return stats, err
 	}
-	return e.runPlan(ctx, cancel, pl, sink, workers, committers, speculate)
+	return e.runPlan(ctx, cancel, pl, sink, workers, committers)
 }
 
-// resolveParallelism resolves the run's worker, committer and speculation
-// counts from the engine options and their per-run context overrides.
-func (e *Engine) resolveParallelism(ctx context.Context) (workers, committers, speculate int) {
+// resolveParallelism resolves the run's worker and committer counts from the
+// engine options and their per-run context overrides.
+func (e *Engine) resolveParallelism(ctx context.Context) (workers, committers int) {
 	workers = e.opts.Workers
 	if n, ok := smj.ParallelismFrom(ctx); ok {
 		workers = n
@@ -281,22 +265,7 @@ func (e *Engine) resolveParallelism(ctx context.Context) (workers, committers, s
 	if committers < 0 {
 		committers = runtime.GOMAXPROCS(0)
 	}
-	speculate = e.opts.SpeculateRounds
-	if n, ok := smj.SpeculateFrom(ctx); ok {
-		speculate = n
-	}
-	if speculate < 0 {
-		speculate = 2
-	}
-	if speculate > 0 && workers < 2 {
-		// Speculative scans share the precheck lanes. With a single worker
-		// every scan queues behind that worker's prefetch jobs, so the
-		// sequencer's per-round fence stalls for the length of whatever job
-		// is in flight — a pathological slowdown instead of an overlap.
-		// Speculation needs a spare lane to ever pay off.
-		speculate = 0
-	}
-	return workers, committers, speculate
+	return workers, committers
 }
 
 // runPlan is the tuple-processing half of RunContext: it materializes fresh
@@ -304,7 +273,7 @@ func (e *Engine) resolveParallelism(ctx context.Context) (workers, committers, s
 // framework loop. All observable behavior — emissions, trace events,
 // counters — is identical whether the plan was prepared moments ago by
 // RunContext or served from a cache.
-func (e *Engine) runPlan(ctx context.Context, cancel *smj.Canceler, pl *Prepared, sink smj.Sink, workers, committers, speculate int) (smj.Stats, error) {
+func (e *Engine) runPlan(ctx context.Context, cancel *smj.Canceler, pl *Prepared, sink smj.Sink, workers, committers int) (smj.Stats, error) {
 	var stats smj.Stats
 	prof := e.opts.Profiler
 	cp, d := pl.problem, pl.d
@@ -356,11 +325,7 @@ func (e *Engine) runPlan(ctx context.Context, cancel *smj.Canceler, pl *Prepared
 		cancel:   cancel,
 	}
 	if workers > 0 && len(regions) > 0 {
-		slack := 0
-		if committers > 0 && speculate > 0 {
-			slack = specPendingMax
-		}
-		run.pool = newPool(ctx, workers, s, regions, len(pl.rparts), cp.Maps, slack)
+		run.pool = newPool(ctx, workers, s, regions, len(pl.rparts), cp.Maps)
 		run.pool.prof = prof
 		defer run.pool.stop()
 		if committers > 0 {
@@ -369,9 +334,6 @@ func (e *Engine) runPlan(ctx context.Context, cancel *smj.Canceler, pl *Prepared
 			s.cpool = run.cpool
 			run.cpool.start()
 			defer run.cpool.shutdown()
-			if speculate > 0 {
-				run.spec = newSpeculator(speculate, s, run.pool, &stats)
-			}
 		}
 	}
 	if e.opts.Trace != nil {
@@ -413,20 +375,16 @@ type runState struct {
 	cancel *smj.Canceler
 	pool   *pool       // non-nil when parallel region processing is enabled
 	cpool  *commitPool // non-nil when partitioned committers are enabled
-	spec   *speculator // non-nil when cross-round speculation is enabled
 
 	mapBuf   []float64
 	roundNew [][]float64 // surviving vectors inserted by the current region
 	// roundSurv mirrors roundNew with the survivors' cells for the
-	// partitioned-commit path's intra-round dominance filter (and, with
-	// speculation on, the per-round delta pushed to the revalidation ring).
+	// partitioned-commit path's intra-round dominance filter.
 	roundSurv []roundSurv
-	// pendingFinish queues committed regions whose candidate buffers are
-	// still referenced by in-flight operation logs; they are released at
-	// the next drain barrier. Without speculation at most one region is
-	// pending (every round drains); with drains skipped the queue grows to
-	// specPendingMax before a drain is forced.
-	pendingFinish []*region
+	// pendingFinish is the last committed region whose candidate buffer is
+	// still referenced by in-flight operation logs; it is released at the
+	// next drain barrier.
+	pendingFinish *region
 }
 
 // roundSurv is one current-round survivor: its vector (candidate-stream
@@ -695,32 +653,22 @@ func (r *runState) processPooled(reg *region) {
 // canonical stream order, appends the effects as per-cell operations to the
 // committer logs, and defers all buffer mutation to the owning committers.
 //
-// Per round: (1) drain barrier — committers finish the previous rounds'
-// logs, freezing phase-1 state (and releasing the pending candidate
-// buffers, whose vectors the logs referenced); (2) phase-1 verdicts for
-// every candidate against that frozen space — fanned to the precheck
-// workers for large rounds, computed inline otherwise, but always for the
-// whole round before any op is appended; (3) the verdict/routing pass: a
-// candidate survives iff its cell is unmarked (marks from this very round
-// included, exactly like the serial engine's commit-time check), the
-// pre-round space does not dominate it, and no earlier-this-round survivor
-// in a comparable cell dominates it. That intra-round filter makes the
-// combined verdict equal the serial verdict: a serial rejection's live
-// dominator is either a pre-round survivor (phase 1 finds it, or a
-// transitively stronger one) or an earlier round survivor (the filter
-// finds it); conversely both checks only consult vectors the serial engine
-// also held live at this candidate's turn — eviction chains only ever
-// strengthen dominators, and a dominator in a cell strictly below would
-// have marked this cell first.
-//
-// With speculation enabled (see speculate.go), step (2) may have already
-// run on a precheck worker against the stale append-only survivor view
-// while EARLIER rounds were still draining. When those stale verdicts are
-// available the round skips the drain barrier of step (1) entirely —
-// committers keep applying old logs while this round routes new ones — and
-// replaces the fresh phase-1 scan with a delta revalidation of the stale
-// survivors. The combined verdict is provably the fresh verdict, so the
-// routing pass (and the whole observable run) is unchanged.
+// Per round: (1) drain barrier — committers finish the previous round's
+// logs, freezing phase-1 state (and releasing the previous round's candidate
+// buffer, whose vectors the logs referenced); (2) phase-1 verdicts for every
+// candidate against that frozen space — fanned to the precheck workers for
+// large rounds, computed inline otherwise, but always for the whole round
+// before any op is appended; (3) the verdict/routing pass: a candidate
+// survives iff its cell is unmarked (marks from this very round included,
+// exactly like the serial engine's commit-time check), the pre-round space
+// does not dominate it, and no earlier-this-round survivor in a comparable
+// cell dominates it. That intra-round filter makes the combined verdict
+// equal the serial verdict: a serial rejection's live dominator is either a
+// pre-round survivor (phase 1 finds it, or a transitively stronger one) or
+// an earlier round survivor (the filter finds it); conversely both checks
+// only consult vectors the serial engine also held live at this candidate's
+// turn — eviction chains only ever strengthen dominators, and a dominator in
+// a cell strictly below would have marked this cell first.
 func (r *runState) processCommitted(reg *region) {
 	prof := r.engine.opts.Profiler
 	tTake := prof.Clock()
@@ -734,84 +682,36 @@ func (r *runState) processCommitted(reg *region) {
 		return
 	}
 
-	sp := r.spec
-	var sr *specResult
-	usable := false
-	if sp != nil {
-		// Claim this region's stale verdicts (waiting out a scan still in
-		// flight) before deciding whether the drain barrier is needed.
-		tSpec := prof.Clock()
-		sr = sp.take(reg)
-		prof.EndSequencer(obs.PhaseSpeculate, tSpec)
-		usable = sr != nil && sp.usable(sr)
+	tWait := prof.Clock()
+	r.cpool.drain()
+	if r.pendingFinish != nil {
+		r.pool.finish(r.pendingFinish)
+		r.pendingFinish = nil
 	}
+	prof.EndSequencer(obs.PhaseCommitWait, tWait)
 
-	if !usable || len(r.pendingFinish) >= specPendingMax {
-		tWait := prof.Clock()
-		r.cpool.drain()
-		for _, pf := range r.pendingFinish {
-			r.pool.finish(pf)
-		}
-		r.pendingFinish = r.pendingFinish[:0]
-		prof.EndSequencer(obs.PhaseCommitWait, tWait)
-	}
-	if sp != nil {
-		// Fence the remaining speculative scans (overlapped with the drain
-		// above when one ran): past this point the round mutates state the
-		// scans read — the view, the index buckets, marked flags.
-		tSpec := prof.Clock()
-		sp.fence()
-		prof.EndSequencer(obs.PhaseSpeculate, tSpec)
-	}
-
-	var rejected []bool
-	if usable {
-		r.stats.SpecHits++
-		rejected = sr.rejected[:n]
-		// Revalidate the stale survivors against only the survivor deltas
-		// admitted since the snapshot: stale rejections are already final.
-		tReval := prof.Clock()
+	rejected := r.pool.rejectedScratch(n)
+	tCheck := prof.Clock()
+	if n >= precheckMinCands {
+		r.stats.DomComparisons += r.pool.precheck(r.space, cands, rejected)
+	} else {
+		// Inline phase 1 on the sequencer, still for the whole round up
+		// front: a per-candidate scan interleaved with routing would race
+		// with the committers applying this round's earlier ops.
 		comps := 0
 		for k := range cands {
-			if rejected[k] {
-				continue
-			}
 			cd := &cands[k]
 			c := r.space.cellAt(cd.flat)
 			if c == nil || c.marked {
 				continue
 			}
-			r.stats.SpecRevalChecks++
-			if sp.deltaDominated(c, cd, sr.version, &comps) {
+			if r.space.precheckDominated(c, cd.v, cd.sum, r.pool.seqState, &comps) {
 				rejected[k] = true
 			}
 		}
 		r.stats.DomComparisons += comps
-		prof.EndSequencer(obs.PhaseRevalidate, tReval)
-	} else {
-		rejected = r.pool.rejectedScratch(n)
-		tCheck := prof.Clock()
-		if n >= precheckMinCands {
-			r.stats.DomComparisons += r.pool.precheck(r.space, cands, rejected)
-		} else {
-			// Inline phase 1 on the sequencer, still for the whole round up
-			// front: a per-candidate scan interleaved with routing would race
-			// with the committers applying this round's earlier ops.
-			comps := 0
-			for k := range cands {
-				cd := &cands[k]
-				c := r.space.cellAt(cd.flat)
-				if c == nil || c.marked {
-					continue
-				}
-				if r.space.precheckDominated(c, cd.v, cd.sum, r.pool.seqState, &comps) {
-					rejected[k] = true
-				}
-			}
-			r.stats.DomComparisons += comps
-		}
-		prof.EndSequencer(obs.PhasePrecheck, tCheck)
 	}
+	prof.EndSequencer(obs.PhasePrecheck, tCheck)
 
 	tCommit := prof.Clock()
 	for k := range cands {
@@ -830,30 +730,16 @@ func (r *runState) processCommitted(reg *region) {
 		if rejected[k] || r.intraRoundDominated(c, cd) {
 			continue
 		}
-		v := cd.v
-		if sp != nil {
-			// Record the survivor in the append-only view; roundNew and the
-			// delta ring alias the permanent copy, not the recyclable
-			// candidate buffer.
-			v = sp.record(c, cd)
-		}
 		r.routeCommit(c, cd)
-		r.roundNew = append(r.roundNew, v)
-		r.roundSurv = append(r.roundSurv, roundSurv{v: v, sum: cd.sum, c: c})
+		r.roundNew = append(r.roundNew, cd.v)
+		r.roundSurv = append(r.roundSurv, roundSurv{v: cd.v, sum: cd.sum, c: c})
 	}
 	r.stats.JoinResults += n
 	// Hand the committers everything routed so far; they overlap with the
-	// determination cascade and are fenced at the next drain barrier.
+	// determination cascade and are fenced at the next round's barrier.
 	r.cpool.flushAll()
 	prof.EndSequencer(obs.PhaseCommit, tCommit)
-	r.pendingFinish = append(r.pendingFinish, reg)
-	if sp != nil {
-		if sr != nil {
-			sp.release(sr)
-		}
-		sp.pushDelta(r.roundSurv)
-		sp.launch()
-	}
+	r.pendingFinish = reg
 }
 
 // intraRoundDominated reports whether an earlier survivor of the current
@@ -977,11 +863,6 @@ func (r *runState) discard(reg *region) {
 	reg.state = regionDiscarded
 	r.stats.RegionsDropped++
 	r.emitTrace(Event{Kind: EventRegionDiscarded, Region: reg.id})
-	if r.spec != nil {
-		// Wait out any speculative scan over the region's candidates before
-		// the pool recycles its buffer.
-		r.spec.drop(reg)
-	}
 	if r.pool != nil {
 		r.pool.drop(reg)
 	}

@@ -161,7 +161,6 @@ type pool struct {
 	bufFree chan *candBuf
 
 	taskCh   chan *precheckTask
-	specCh   chan *specTask // speculative scans, served at lower priority
 	tasks    []precheckTask
 	pwg      sync.WaitGroup
 	seqState *precheckState // precheck scratch for the sequencer itself
@@ -174,14 +173,12 @@ type pool struct {
 
 // newPool sizes the pool for a run over the given regions. It does not
 // start any goroutine; the sequencer calls start once the prefetch order is
-// known. slack widens the in-flight prefetch budget by the number of extra
-// candidate buffers cross-round speculation may retain past consumption
-// (the pending-finish queue); 0 without speculation.
-func newPool(ctx context.Context, workers int, s *space, regions []*region, rparts int, maps *mapping.Set, slack int) *pool {
+// known.
+func newPool(ctx context.Context, workers int, s *space, regions []*region, rparts int, maps *mapping.Set) *pool {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	inflight := workers + 2 + slack
+	inflight := workers + 2
 	p := &pool{
 		workers: workers,
 		d:       s.d,
@@ -195,10 +192,7 @@ func newPool(ctx context.Context, workers int, s *space, regions []*region, rpar
 		bufFree: make(chan *candBuf, inflight+workers+1),
 		// Sized so the sequencer can publish a whole round's tasks without
 		// blocking (chunking bounds the task count per round).
-		taskCh: make(chan *precheckTask, 4*workers+8),
-		// Sized past specMaxDepth so launching a speculative scan never
-		// blocks the sequencer.
-		specCh:   make(chan *specTask, 2*specMaxDepth),
+		taskCh:   make(chan *precheckTask, 4*workers+8),
 		seqState: newPrecheckState(len(s.cellList)),
 	}
 	for i := range p.jobs {
@@ -439,11 +433,8 @@ func (p *pool) precheck(s *space, cands []cand, rejected []bool) int {
 	return comps
 }
 
-// precheckWorker serves phase-1 scan tasks for the duration of the run:
-// round-critical barrier tasks first, speculative cross-round scans only
-// when the barrier queue is empty (a speculation stall costs a fresh scan
-// later; a barrier stall costs sequencer wall-clock now). Only
-// worker-served tasks report on the worker lane; tasks the sequencer
+// precheckWorker serves phase-1 scan tasks for the duration of the run.
+// Only worker-served tasks report on the worker lane; tasks the sequencer
 // drains itself are already inside its barrier span (no double counting).
 func (p *pool) precheckWorker(lane int, cells int) {
 	defer p.wg.Done()
@@ -456,20 +447,6 @@ func (p *pool) precheckWorker(lane int, cells int) {
 			t0 := p.prof.Clock()
 			t.run(st)
 			p.prof.EndWorker(obs.PhasePrecheck, lane, t0)
-			continue
-		default:
-		}
-		select {
-		case <-p.quit:
-			return
-		case t := <-p.taskCh:
-			t0 := p.prof.Clock()
-			t.run(st)
-			p.prof.EndWorker(obs.PhasePrecheck, lane, t0)
-		case t := <-p.specCh:
-			t0 := p.prof.Clock()
-			t.run(st)
-			p.prof.EndWorker(obs.PhaseSpeculate, lane, t0)
 		}
 	}
 }

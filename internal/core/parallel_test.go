@@ -129,7 +129,7 @@ func parallelFixture(t *testing.T) (*pool, *region, *space) {
 		t.Fatal(err)
 	}
 	s.emit = func(outTuple) {}
-	return newPool(context.Background(), 1, s, regions, 1, sumMaps2(), 0), regions[0], s
+	return newPool(context.Background(), 1, s, regions, 1, sumMaps2()), regions[0], s
 }
 
 // TestWorkerStreamSteadyStateZeroAlloc pins the per-worker arena guarantee:

@@ -94,7 +94,7 @@ func (pl *Prepared) materialize() []*region {
 // fresh profiler shows them at ~0: the whole point of caching the Plan.
 func (e *Engine) PrepareContext(ctx context.Context, p *smj.Problem) (*Prepared, error) {
 	var stats smj.Stats
-	workers, _, _ := e.resolveParallelism(ctx)
+	workers, _ := e.resolveParallelism(ctx)
 	return e.prepare(smj.NewCanceler(ctx), p, workers, &stats)
 }
 
@@ -159,6 +159,6 @@ func (e *Engine) RunPlanContext(ctx context.Context, pl *Prepared, sink smj.Sink
 	if err := cancel.Now(); err != nil {
 		return stats, err
 	}
-	workers, committers, speculate := e.resolveParallelism(ctx)
-	return e.runPlan(ctx, cancel, pl, sink, workers, committers, speculate)
+	workers, committers := e.resolveParallelism(ctx)
+	return e.runPlan(ctx, cancel, pl, sink, workers, committers)
 }

@@ -5,10 +5,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // DefaultPollInterval is how often TailSource re-checks the file for
@@ -135,7 +137,9 @@ func (s *TailSource) nextLine(ctx context.Context) ([]byte, bool, error) {
 }
 
 // ParseLine parses one change-log line in either wire format: NDJSON when it
-// starts with '{', CSV (op,relation,id,joinKey,vals...) otherwise.
+// starts with '{', CSV (op,relation,id,joinKey,vals...) otherwise. Both
+// formats accept exactly the changes NDJSON can express: a CSV line with a
+// non-finite value or a relation name that is not valid UTF-8 is an error.
 func ParseLine(line string) (Change, error) {
 	line = strings.TrimSpace(line)
 	if strings.HasPrefix(line, "{") {
@@ -154,6 +158,9 @@ func ParseLine(line string) (Change, error) {
 		return Change{}, err
 	}
 	c := Change{Relation: strings.TrimSpace(fields[1]), Op: op}
+	if !utf8.ValidString(c.Relation) {
+		return Change{}, fmt.Errorf("relation name %q is not valid UTF-8", c.Relation)
+	}
 	c.ID, err = strconv.ParseInt(strings.TrimSpace(fields[2]), 10, 64)
 	if err != nil {
 		return Change{}, fmt.Errorf("bad id %q: %w", fields[2], err)
@@ -175,6 +182,9 @@ func ParseLine(line string) (Change, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 		if err != nil {
 			return Change{}, fmt.Errorf("bad value %q: %w", f, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Change{}, fmt.Errorf("value %q is not finite", f)
 		}
 		c.Vals = append(c.Vals, v)
 	}

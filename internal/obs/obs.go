@@ -67,18 +67,6 @@ const (
 	// committers are doing the commit work, so it counts toward the
 	// sequencer total but never toward the serial commit share.
 	PhaseCommitWait
-	// PhaseSpeculate covers speculative cross-round phase-1 scans: worker
-	// lanes record the stale-snapshot dominance scans they run for rounds
-	// whose predecessors are still draining; the sequencer lane records its
-	// fence against outstanding speculative scans. Sequencer time here is
-	// synchronization, not commit work, so — like PhaseCommitWait — it never
-	// joins the serial commit share.
-	PhaseSpeculate
-	// PhaseRevalidate covers the sequencer's delta revalidation of
-	// speculative survivors: each survivor of a stale-snapshot scan is
-	// re-checked against only the per-round survivor deltas admitted since
-	// the snapshot, instead of the whole space.
-	PhaseRevalidate
 	// PhaseDetermine covers the progressive result determination cascade,
 	// dominance discards of live regions, and the scheduler graph updates
 	// after each round.
@@ -113,10 +101,6 @@ func (p Phase) String() string {
 		return "commit"
 	case PhaseCommitWait:
 		return "commit-wait"
-	case PhaseSpeculate:
-		return "speculate"
-	case PhaseRevalidate:
-		return "revalidate"
 	case PhaseDetermine:
 		return "determine"
 	case PhaseEmit:

@@ -20,9 +20,6 @@ type ExecRequest struct {
 	// committer goroutines (effective only with workers ≥ 1). Like workers,
 	// it never changes the result stream.
 	Committers int `json:"committers,omitempty"`
-	// Speculate requests cross-round speculative pipelining up to this many
-	// rounds ahead (effective only with workers ≥ 2 and committers ≥ 1).
-	Speculate int `json:"speculate,omitempty"`
 	// Ranker selects the progressive scheduler's benefit model:
 	// "benefit-cost" (the default, Equation 8 with exact ProgCount) or
 	// "cardinality" (O(1) refreshes that skip ProgCount).
@@ -36,7 +33,6 @@ type ExecRequest struct {
 type ExecInfo struct {
 	Workers    int    `json:"workers,omitempty"`
 	Committers int    `json:"committers,omitempty"`
-	Speculate  int    `json:"speculate,omitempty"`
 	Ranker     string `json:"ranker,omitempty"`
 }
 
@@ -49,33 +45,26 @@ type ExecInfo struct {
 //     arbitrarily.
 //   - Negative workers clamp to 0 — zero and "no parallelism" coincide, so
 //     every negative has a meaningful reading.
-//   - Negative committers or speculate are rejected (bad_exec): neither has
-//     a meaningful reading below zero.
-//   - Values above the server caps (MaxRunWorkers, MaxRunCommitters,
-//     MaxRunSpeculate) are clamped, not rejected — parallelism changes
-//     latency, never results, so over-asking is harmless.
-//   - Committers are zeroed on serial runs and speculation on
-//     non-partitioned or single-lane ones: the engine would ignore them.
+//   - Negative committers are rejected (bad_exec): they have no meaningful
+//     reading below zero.
+//   - Values above the server caps (MaxRunWorkers, MaxRunCommitters) are
+//     clamped, not rejected — parallelism changes latency, never results,
+//     so over-asking is harmless.
+//   - Committers are zeroed on serial runs: the engine would ignore them.
 //   - An unknown ranker is rejected (bad_exec); the echoed ExecInfo always
 //     carries the resolved ranker name.
 func (s *Server) resolveExec(req *QueryRequest) (ExecInfo, core.RankerKind, *httpError) {
-	flat := req.Workers != 0 || req.Committers != 0 || req.Speculate != 0 || req.Ranker != ""
+	flat := req.Workers != 0 || req.Committers != 0 || req.Ranker != ""
 	if req.Exec != nil && flat {
 		return ExecInfo{}, 0, httpErrorf(400, errExecConflict,
 			"request sets both the exec object and legacy flat exec fields; use one spelling")
 	}
-	ex := ExecRequest{
-		Workers: req.Workers, Committers: req.Committers,
-		Speculate: req.Speculate, Ranker: req.Ranker,
-	}
+	ex := ExecRequest{Workers: req.Workers, Committers: req.Committers, Ranker: req.Ranker}
 	if req.Exec != nil {
 		ex = *req.Exec
 	}
 	if ex.Committers < 0 {
 		return ExecInfo{}, 0, httpErrorf(400, errBadExec, "committers must be >= 0, got %d", ex.Committers)
-	}
-	if ex.Speculate < 0 {
-		return ExecInfo{}, 0, httpErrorf(400, errBadExec, "speculate must be >= 0, got %d", ex.Speculate)
 	}
 	ranker, err := core.ParseRanker(ex.Ranker)
 	if err != nil {
@@ -96,17 +85,5 @@ func (s *Server) resolveExec(req *QueryRequest) (ExecInfo, core.RankerKind, *htt
 	if workers == 0 {
 		committers = 0
 	}
-	speculate := ex.Speculate
-	if speculate > s.cfg.MaxRunSpeculate {
-		speculate = s.cfg.MaxRunSpeculate
-	}
-	if committers == 0 || workers < 2 {
-		// The engine ignores speculation without a spare precheck lane to
-		// run the stale scans on; zeroing here keeps records honest.
-		speculate = 0
-	}
-	return ExecInfo{
-		Workers: workers, Committers: committers, Speculate: speculate,
-		Ranker: ranker.String(),
-	}, ranker, nil
+	return ExecInfo{Workers: workers, Committers: committers, Ranker: ranker.String()}, ranker, nil
 }

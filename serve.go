@@ -21,7 +21,7 @@ type (
 	// including the time-to-first-result histogram.
 	ServerStats = server.Snapshot
 	// ExecOptions mirrors the wire "exec" object shared by /v1/query and
-	// /v1/subscribe: the run-shaping knobs (workers, committers, speculate,
+	// /v1/subscribe: the run-shaping knobs (workers, committers,
 	// ranker) under one name. Embedders constructing QueryRequest bodies
 	// programmatically should prefer it over the legacy flat fields; a
 	// request carrying both spellings is rejected with exec_conflict.
